@@ -41,6 +41,25 @@ fn bench_btree(c: &Bench) {
             tr.clear();
         }
     });
+    // The database build's load pattern: keys in ascending order, once
+    // through the traced per-key insert and once through the append
+    // path. Both build the same tree.
+    c.bench_function("btree/insert_ascending_1m", || {
+        let mut t = BTree::new();
+        let mut tr = Vec::new();
+        for i in 0..1_000_000u64 {
+            t.insert(i, i, &mut tr);
+            tr.clear();
+        }
+        std::hint::black_box(t);
+    });
+    c.bench_function("btree/append_ascending_1m", || {
+        let mut t = BTree::new();
+        for i in 0..1_000_000u64 {
+            t.push_max(i, i);
+        }
+        std::hint::black_box(t);
+    });
     let mut t = BTree::new();
     let mut tr = Vec::new();
     for i in 0..100_000u64 {

@@ -2,7 +2,8 @@
 //!
 //! Runs a fixed set of canonical scenarios through the DES engine —
 //! each one twice, once on the default segment-train fast path and
-//! once with `exact = true` — measures wall time and events/sec,
+//! once with `exact = true` — measures the run's wall time and
+//! events/sec plus the `World::new` construction time before it,
 //! times a small sweep through the worker pool vs. the serial path,
 //! measures the windowed engine's single-run scaling curve
 //! (`intra_jobs ∈ {1, 2, 4, 8}` on an n=16 and an n=64 exact
@@ -13,7 +14,7 @@
 //! probe (the n=64 edge/aggregation scenario under aggregate clients,
 //! serial and windowed across 2 rack-aligned groups, recording the
 //! per-tier trunk counters from the report), and emits
-//! `BENCH_pr10.json` (schema `dclue-selfbench/5`,
+//! `BENCH_pr10.json` (schema `dclue-selfbench/6`,
 //! documented in EXPERIMENTS.md). The pre-optimization numbers —
 //! captured on the same scenario definitions immediately before the
 //! PR 2 hot-path work and again immediately before the PR 3
@@ -100,12 +101,16 @@ const TRAIN_CUT_SCENARIOS: [&str; 3] = ["cluster_n8_a05", "cluster_n16_a08", "qo
 
 struct ScenarioResult {
     name: &'static str,
-    /// Train-mode (default engine) measurements.
+    /// Train-mode (default engine) measurements. `wall_s` times
+    /// `run()` only; `construct_s` times `World::new` (database build,
+    /// prewarm, topology) before it.
     wall_s: f64,
+    construct_s: f64,
     events: u64,
     committed: u64,
     /// Segment-exact engine measurements on the same config + seed.
     exact_wall_s: f64,
+    exact_construct_s: f64,
     exact_events: u64,
 }
 
@@ -189,11 +194,13 @@ const SCENARIOS: [&str; 5] = [
     "fault_crash_n4",
 ];
 
-/// Best-of-`reps` wall clock for one scenario in one engine mode.
-/// Event counts and committed are deterministic per (config, mode),
-/// so only the wall clock varies across repetitions.
-fn time_mode(name: &str, quick: bool, reps: u32, exact: bool) -> (f64, u64, u64) {
+/// Best-of-`reps` wall clocks of `run()` and of `World::new` for one
+/// scenario in one engine mode, each minimised on its own. Event
+/// counts and committed are deterministic per (config, mode), so only
+/// the wall clocks vary across repetitions.
+fn time_mode(name: &str, quick: bool, reps: u32, exact: bool) -> (f64, f64, u64, u64) {
     let mut best_wall = f64::INFINITY;
+    let mut best_construct = f64::INFINITY;
     let mut events = 0u64;
     let mut committed = 0u64;
     for _ in 0..reps.max(1) {
@@ -203,7 +210,9 @@ fn time_mode(name: &str, quick: bool, reps: u32, exact: bool) -> (f64, u64, u64)
             eprintln!("[selfbench] invalid config '{name}': {e}");
             std::process::exit(2);
         }
+        let t0 = Instant::now();
         let mut w = World::new(cfg);
+        best_construct = best_construct.min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         let report = w.run();
         let wall_s = t0.elapsed().as_secs_f64();
@@ -211,18 +220,20 @@ fn time_mode(name: &str, quick: bool, reps: u32, exact: bool) -> (f64, u64, u64)
         events = w.events_processed();
         committed = report.committed;
     }
-    (best_wall, events, committed)
+    (best_wall, best_construct, events, committed)
 }
 
 fn run_scenario(name: &'static str, quick: bool, reps: u32) -> ScenarioResult {
-    let (wall_s, events, committed) = time_mode(name, quick, reps, false);
-    let (exact_wall_s, exact_events, _) = time_mode(name, quick, reps, true);
+    let (wall_s, construct_s, events, committed) = time_mode(name, quick, reps, false);
+    let (exact_wall_s, exact_construct_s, exact_events, _) = time_mode(name, quick, reps, true);
     ScenarioResult {
         name,
         wall_s,
+        construct_s,
         events,
         committed,
         exact_wall_s,
+        exact_construct_s,
         exact_events,
     }
 }
@@ -535,16 +546,19 @@ fn scenario_json(r: &ScenarioResult, pre_pr3: &[(&str, f64, u64)]) -> String {
         .unwrap_or(r.exact_events);
     let delta_pre = 100.0 * (base as f64 - r.events as f64) / base as f64;
     format!(
-        "    {{\"name\": \"{}\", \"wall_s\": {}, \"events\": {}, \"events_per_sec\": {}, \
-         \"committed\": {}, \"exact_wall_s\": {}, \"exact_events\": {}, \
+        "    {{\"name\": \"{}\", \"wall_s\": {}, \"construct_s\": {}, \"events\": {}, \
+         \"events_per_sec\": {}, \"committed\": {}, \"exact_wall_s\": {}, \
+         \"exact_construct_s\": {}, \"exact_events\": {}, \
          \"exact_events_per_sec\": {}, \"events_delta_pct\": {}, \
          \"events_vs_pre_pr3_pct\": {}}}",
         r.name,
         json_f(r.wall_s),
+        json_f(r.construct_s),
         r.events,
         json_f(eps),
         r.committed,
         json_f(r.exact_wall_s),
+        json_f(r.exact_construct_s),
         r.exact_events,
         json_f(exact_eps),
         json_f(delta_exact),
@@ -673,11 +687,13 @@ fn main() {
             }
         }
         eprintln!(
-            "[selfbench] {:<16} train {:>8.3}s {:>9} ev  exact {:>8.3}s {:>9} ev  cut {:>5.1}%  committed={}",
+            "[selfbench] {:<16} train {:>8.3}s (+{:.3}s new) {:>9} ev  exact {:>8.3}s (+{:.3}s new) {:>9} ev  cut {:>5.1}%  committed={}",
             r.name,
             r.wall_s,
+            r.construct_s,
             r.events,
             r.exact_wall_s,
+            r.exact_construct_s,
             r.exact_events,
             100.0 * (r.exact_events as f64 - r.events as f64) / r.exact_events as f64,
             r.committed
@@ -792,7 +808,7 @@ fn main() {
     };
     let mut j = String::new();
     j.push_str("{\n");
-    j.push_str("  \"schema\": \"dclue-selfbench/5\",\n");
+    j.push_str("  \"schema\": \"dclue-selfbench/6\",\n");
     j.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     j.push_str(&format!("  \"cores\": {cores},\n"));
     j.push_str(&format!("  \"jobs_resolved\": {jobs},\n"));

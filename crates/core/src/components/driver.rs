@@ -512,7 +512,11 @@ impl World {
                         .fabric
                         .xg
                         .as_ref()
-                        .map(|xg| crate::components::fabric::xg_group_of(node, xg.nodes, xg.groups, xg.racks))
+                        .map(|xg| {
+                            crate::components::fabric::xg_group_of(
+                                node, xg.nodes, xg.groups, xg.racks,
+                            )
+                        })
                         .expect("foreign node outside windowed mode");
                     self.xg_stage_now(
                         dest,
@@ -543,7 +547,9 @@ impl World {
                     .fabric
                     .xg
                     .as_ref()
-                    .map(|xg| crate::components::fabric::xg_group_of(node, xg.nodes, xg.groups, xg.racks))
+                    .map(|xg| {
+                        crate::components::fabric::xg_group_of(node, xg.nodes, xg.groups, xg.racks)
+                    })
                     .expect("foreign node outside windowed mode");
                 self.xg_stage_now(
                     dest,

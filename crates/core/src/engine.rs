@@ -736,7 +736,8 @@ impl World {
         let xg = self.fabric.xg.as_ref()?;
         let node = (txn & 0xFFFF) as u32;
         if node < xg.nodes
-            && crate::components::fabric::xg_group_of(node, xg.nodes, xg.groups, xg.racks) != xg.my_group
+            && crate::components::fabric::xg_group_of(node, xg.nodes, xg.groups, xg.racks)
+                != xg.my_group
         {
             Some(node)
         } else {

@@ -61,8 +61,8 @@ pub use components::fabric::FabricPort;
 pub use config::{
     ClientModel, ClusterConfig, DbGrowth, FabricShape, ProtocolKind, QosPolicy, TcpOffload,
 };
-pub use topology::{BuiltTopology, Placement, Topology};
 pub use metrics::Report;
 pub use protocol::{CacheFusion2pl, CoherenceProtocol, MvccReadLease};
+pub use topology::{BuiltTopology, Placement, Topology};
 pub use windowed::{run_one, run_windowed, WindowedStats};
 pub use world::World;

@@ -214,11 +214,8 @@ pub fn run_windowed(cfg: &ClusterConfig) -> (Report, WindowedStats) {
         w0.absorb_group(w);
     }
     let window = window_width(cfg, &w0, groups);
-    let rack_aligned = crate::components::fabric::xg_rack_aligned(
-        cfg.nodes,
-        groups,
-        w0.placement().racks,
-    );
+    let rack_aligned =
+        crate::components::fabric::xg_rack_aligned(cfg.nodes, groups, w0.placement().racks);
     let report = w0.into_report();
     let stats = WindowedStats {
         groups,

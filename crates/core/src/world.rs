@@ -730,7 +730,8 @@ impl World {
                     self.warehouses,
                     self.cfg.nodes,
                 );
-                if crate::components::fabric::xg_group_of(home, xg.nodes, xg.groups, xg.racks) != xg.my_group
+                if crate::components::fabric::xg_group_of(home, xg.nodes, xg.groups, xg.racks)
+                    != xg.my_group
                 {
                     continue;
                 }

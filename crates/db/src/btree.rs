@@ -11,13 +11,26 @@
 //! not rebalance siblings: TPC-C's only deleter (the new-order table)
 //! removes the oldest keys in order, for which empty-node cleanup keeps
 //! the tree tidy. This trade is documented here deliberately.
+//!
+//! Bulk loads go through [`BTree::push_max`], an ascending-append path
+//! that walks only the rightmost spine. Its precondition is that `key`
+//! sorts after every key on that spine: strictly above the rightmost
+//! leaf's last key and at or above each last separator on the way
+//! down. Under it, `insert` would take the same path and push at the
+//! same end, and both share one split routine, so the resulting tree
+//! is node-for-node and id-for-id the one `insert` builds. Any other
+//! key falls back to `insert`.
 
 /// Maximum keys per node. 64 keys x (8 B key + 8 B value/child) plus
 /// headers approximates an 8 KB index page at ~50% occupancy, matching
 /// a production B+-tree's steady state.
 const ORDER: usize = 64;
 
-#[derive(Debug)]
+/// Deepest spine `push_max` records. Appends alone need over 32^15
+/// keys to grow a tree this deep; a deeper tree takes the `insert` path.
+const MAX_SPINE: usize = 16;
+
+#[derive(Debug, PartialEq, Eq)]
 enum Node {
     Internal {
         /// `keys[i]` is the smallest key reachable under `children[i+1]`.
@@ -47,7 +60,7 @@ enum Node {
 /// // accounting:
 /// assert!(!touched.is_empty());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct BTree {
     nodes: Vec<Node>,
     free: Vec<u32>,
@@ -149,15 +162,64 @@ impl BTree {
     /// Insert or replace; returns the previous value if any.
     pub fn insert(&mut self, key: u64, val: u64, trace: &mut Vec<u32>) -> Option<u64> {
         let root = self.root;
-        match self.insert_rec(root, key, val, trace) {
+        let res = self.insert_rec(root, key, val, trace);
+        self.finish(root, res)
+    }
+
+    /// Append a key that sorts after every key in the tree, touching
+    /// only the rightmost spine and tracing nothing. The resulting tree
+    /// is identical, node ids included, to the one `insert` builds;
+    /// a key that is not such an append falls back to `insert`.
+    pub fn push_max(&mut self, key: u64, val: u64) -> Option<u64> {
+        // The spine `insert` would walk for this key, root first,
+        // checked on the way down.
+        let mut spine = [0u32; MAX_SPINE];
+        let mut depth = 0;
+        let mut n = self.root;
+        while let Node::Internal { keys, children } = &self.nodes[n as usize] {
+            if depth == MAX_SPINE || keys.last().is_some_and(|&k| k > key) {
+                return self.insert(key, val, &mut Vec::new());
+            }
+            spine[depth] = n;
+            depth += 1;
+            n = children[keys.len()];
+        }
+        let Node::Leaf { keys, vals } = &mut self.nodes[n as usize] else {
+            unreachable!("walked into a freed node")
+        };
+        if keys.last().is_some_and(|&k| k >= key) {
+            return self.insert(key, val, &mut Vec::new());
+        }
+        keys.push(key);
+        vals.push(val);
+        self.len += 1;
+        if keys.len() <= ORDER {
+            return None;
+        }
+        let mut res = self.split_leaf(n);
+        for &parent in spine[..depth].iter().rev() {
+            let InsertResult::Split(sep, right) = res else {
+                return None;
+            };
+            let Node::Internal { keys, .. } = &self.nodes[parent as usize] else {
+                unreachable!()
+            };
+            // The child that split is the last one.
+            res = self.link_split(parent, keys.len(), sep, right);
+        }
+        let root = self.root;
+        self.finish(root, res)
+    }
+
+    /// Grow a new root if the old one split.
+    fn finish(&mut self, root: u32, res: InsertResult) -> Option<u64> {
+        match res {
             InsertResult::Done(old) => old,
             InsertResult::Split(sep, right) => {
-                // Grow a new root.
-                let new_root = self.alloc(Node::Internal {
+                self.root = self.alloc(Node::Internal {
                     keys: vec![sep],
                     children: vec![root, right],
                 });
-                self.root = new_root;
                 None
             }
         }
@@ -218,52 +280,62 @@ impl BTree {
                     keys.insert(i, key);
                     vals.insert(i, val);
                     self.len += 1;
-                    if keys.len() > ORDER {
-                        let mid = keys.len() / 2;
-                        let rkeys = keys.split_off(mid);
-                        let rvals = vals.split_off(mid);
-                        let sep = rkeys[0];
-                        let right = self.alloc(Node::Leaf {
-                            keys: rkeys,
-                            vals: rvals,
-                        });
-                        InsertResult::Split(sep, right)
-                    } else {
-                        InsertResult::Done(None)
-                    }
+                    self.split_leaf(n)
                 }
             },
             Node::Internal { keys, children } => {
                 let i = keys.partition_point(|&k| k <= key);
                 let child = children[i];
                 match self.insert_rec(child, key, val, trace) {
-                    InsertResult::Done(old) => InsertResult::Done(old),
-                    InsertResult::Split(sep, right) => {
-                        let Node::Internal { keys, children } = &mut self.nodes[n as usize] else {
-                            unreachable!()
-                        };
-                        keys.insert(i, sep);
-                        children.insert(i + 1, right);
-                        if keys.len() > ORDER {
-                            let mid = keys.len() / 2;
-                            // keys[mid] moves up as the separator.
-                            let up = keys[mid];
-                            let rkeys = keys.split_off(mid + 1);
-                            keys.pop();
-                            let rchildren = children.split_off(mid + 1);
-                            let right = self.alloc(Node::Internal {
-                                keys: rkeys,
-                                children: rchildren,
-                            });
-                            InsertResult::Split(up, right)
-                        } else {
-                            InsertResult::Done(None)
-                        }
-                    }
+                    InsertResult::Split(sep, right) => self.link_split(n, i, sep, right),
+                    done => done,
                 }
             }
             Node::Free => unreachable!(),
         }
+    }
+
+    /// Split leaf `n` in half if it overflowed.
+    fn split_leaf(&mut self, n: u32) -> InsertResult {
+        let Node::Leaf { keys, vals } = &mut self.nodes[n as usize] else {
+            unreachable!()
+        };
+        if keys.len() <= ORDER {
+            return InsertResult::Done(None);
+        }
+        let mid = keys.len() / 2;
+        let rkeys = split_tail(keys, mid, ORDER + 1);
+        let rvals = split_tail(vals, mid, ORDER + 1);
+        let sep = rkeys[0];
+        let right = self.alloc(Node::Leaf {
+            keys: rkeys,
+            vals: rvals,
+        });
+        InsertResult::Split(sep, right)
+    }
+
+    /// Link child `i`'s new right sibling into internal node `n`, and
+    /// split `n` in half if it overflowed.
+    fn link_split(&mut self, n: u32, i: usize, sep: u64, right: u32) -> InsertResult {
+        let Node::Internal { keys, children } = &mut self.nodes[n as usize] else {
+            unreachable!()
+        };
+        keys.insert(i, sep);
+        children.insert(i + 1, right);
+        if keys.len() <= ORDER {
+            return InsertResult::Done(None);
+        }
+        let mid = keys.len() / 2;
+        // keys[mid] moves up as the separator.
+        let up = keys[mid];
+        let rkeys = split_tail(keys, mid + 1, ORDER + 1);
+        keys.pop();
+        let rchildren = split_tail(children, mid + 1, ORDER + 2);
+        let right = self.alloc(Node::Internal {
+            keys: rkeys,
+            children: rchildren,
+        });
+        InsertResult::Split(up, right)
     }
 
     /// Returns `(removed value, node-is-now-empty)`.
@@ -395,6 +467,15 @@ impl BTree {
 enum InsertResult {
     Done(Option<u64>),
     Split(u64, u32),
+}
+
+/// `Vec::split_off`, with the new half presized to the length at which
+/// it will next overflow and split.
+fn split_tail<T: Copy>(v: &mut Vec<T>, at: usize, cap: usize) -> Vec<T> {
+    let mut tail = Vec::with_capacity(cap);
+    tail.extend_from_slice(&v[at..]);
+    v.truncate(at);
+    tail
 }
 
 #[cfg(test)]
@@ -659,6 +740,77 @@ mod tests {
             tree.range(0, u64::MAX, usize::MAX, &mut out, &mut t());
             let expect: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
             assert_eq!(out, expect, "case {case}");
+        }
+    }
+
+    #[test]
+    fn push_max_matches_insert_on_ascending_keys() {
+        let mut rng = SimRng::new(0xB7EE_0003);
+        for case in 0..24 {
+            // Two cases deep enough for four levels (three root splits).
+            let n = if case < 2 {
+                100_000
+            } else {
+                rng.uniform(0, 5_000)
+            };
+            let mut by_insert = BTree::new();
+            let mut by_append = BTree::new();
+            let mut key = rng.uniform(0, 1_000);
+            for v in 0..n {
+                key += rng.uniform(1, 9);
+                assert_eq!(by_insert.insert(key, v, &mut t()), None);
+                assert_eq!(by_append.push_max(key, v), None);
+            }
+            if case < 2 {
+                assert_eq!(by_append.depth(), 4, "case {case}");
+            }
+            // Node for node, ids, free list and root included.
+            assert_eq!(by_append, by_insert, "case {case}");
+        }
+    }
+
+    #[test]
+    fn ascending_layout_is_pinned() {
+        // Index node ids are page ids, so the layout an ascending load
+        // produces is part of every Report: each split leaves 32 keys
+        // behind, and ids follow allocation order.
+        let mut b = BTree::new();
+        for k in 0..10_000u64 {
+            b.push_max(k, k);
+        }
+        assert_eq!((b.node_count(), b.depth(), b.root), (322, 3, 68));
+        // Leaf 0, its split-off right half 1, the first root 2 (its
+        // separator), then one new leaf per 32 keys.
+        let mins: Vec<Option<u64>> = (0..6).map(|id| b.min_key(id)).collect();
+        assert_eq!(mins, [0, 32, 32, 64, 96, 128].map(Some));
+    }
+
+    #[test]
+    fn push_max_falls_back_to_insert_off_the_tail() {
+        let mut rng = SimRng::new(0xB7EE_0004);
+        for case in 0..32 {
+            let mut by_insert = BTree::new();
+            let mut by_append = BTree::new();
+            let mut key = 0u64;
+            for v in 0..rng.uniform(1, 3_000) {
+                // Mostly appends, with repeats, steps back below the
+                // maximum and head removals (stale separators) mixed in.
+                match rng.uniform(0, 9) {
+                    0 => key = key.saturating_sub(rng.uniform(0, 200)),
+                    1 => {
+                        let k = rng.uniform(0, key);
+                        assert_eq!(by_append.remove(k, &mut t()), by_insert.remove(k, &mut t()));
+                        continue;
+                    }
+                    2 => {}
+                    _ => key += rng.uniform(1, 5),
+                }
+                assert_eq!(
+                    by_append.push_max(key, v),
+                    by_insert.insert(key, v, &mut t())
+                );
+            }
+            assert_eq!(by_append, by_insert, "case {case}");
         }
     }
 

@@ -201,6 +201,15 @@ pub struct Database {
 impl Database {
     /// Build and initialise the whole database per TPC-C rules.
     pub fn build(scale: TpccScale) -> Self {
+        // Every index receives its keys in ascending order (see
+        // `build_indices_and_orders`), so each load is an append.
+        Self::build_with(scale, |idx, key, val| {
+            idx.push_max(key, val);
+        })
+    }
+
+    /// `build`, loading each index entry through `put`.
+    fn build_with(scale: TpccScale, put: impl FnMut(&mut BTree, u64, u64)) -> Self {
         let w_n = scale.warehouses;
         let mut db = Database {
             warehouses: vec![WarehouseRow::default(); w_n as usize],
@@ -234,47 +243,34 @@ impl Database {
             ts: 1,
             scale,
         };
-        db.build_indices_and_orders();
+        db.build_indices_and_orders(put);
         db
     }
 
-    fn build_indices_and_orders(&mut self) {
+    /// Load the fixed tables' indices and the initial orders. The loops
+    /// nest in key order, so every index receives ascending keys.
+    fn build_indices_and_orders(&mut self, mut put: impl FnMut(&mut BTree, u64, u64)) {
         let scale = self.scale.clone();
-        let mut tr = Vec::new();
+        let mut load =
+            |db: &mut Self, t: Table, key, val| put(&mut db.idx[t.id() as usize], key, val);
         // Fixed tables: dense rowids, keys from the schema encoders.
         for w in 1..=scale.warehouses {
-            self.idx[Table::Warehouse.id() as usize].insert(
-                schema::wh_key(w),
-                (w - 1) as u64,
-                &mut tr,
-            );
+            load(self, Table::Warehouse, schema::wh_key(w), (w - 1) as u64);
             for d in 1..=scale.districts_per_wh {
                 let drow = ((w - 1) * scale.districts_per_wh + (d - 1)) as u64;
-                self.idx[Table::District.id() as usize].insert(
-                    schema::district_key(w, d),
-                    drow,
-                    &mut tr,
-                );
+                load(self, Table::District, schema::district_key(w, d), drow);
                 for c in 1..=scale.customers_per_district {
                     let crow = drow * scale.customers_per_district as u64 + (c - 1) as u64;
-                    self.idx[Table::Customer.id() as usize].insert(
-                        schema::customer_key(w, d, c),
-                        crow,
-                        &mut tr,
-                    );
+                    load(self, Table::Customer, schema::customer_key(w, d, c), crow);
                 }
             }
             for i in 1..=scale.items {
                 let srow = ((w - 1) * scale.items + (i - 1)) as u64;
-                self.idx[Table::Stock.id() as usize].insert(schema::stock_key(w, i), srow, &mut tr);
+                load(self, Table::Stock, schema::stock_key(w, i), srow);
             }
         }
         for i in 1..=scale.items {
-            self.idx[Table::Item.id() as usize].insert(
-                schema::item_key(i),
-                (i - 1) as u64,
-                &mut tr,
-            );
+            load(self, Table::Item, schema::item_key(i), (i - 1) as u64);
         }
 
         // Initial orders: the most recent 30% are open (new-order rows).
@@ -301,18 +297,10 @@ impl Database {
                             carrier_id: if o < open_from { 1 } else { 0 },
                         },
                     );
-                    self.idx[Table::Order.id() as usize].insert(
-                        schema::order_key(w, d, o),
-                        rowid,
-                        &mut tr,
-                    );
+                    load(self, Table::Order, schema::order_key(w, d, o), rowid);
                     if o >= open_from {
                         let no = self.new_orders.insert(w, ());
-                        self.idx[Table::NewOrder.id() as usize].insert(
-                            schema::order_key(w, d, o),
-                            no,
-                            &mut tr,
-                        );
+                        load(self, Table::NewOrder, schema::order_key(w, d, o), no);
                     }
                     for ol in 0..ol_cnt as u32 {
                         let i_id = (rand() % scale.items as u64) as u32 + 1;
@@ -325,11 +313,8 @@ impl Database {
                                 delivered: o < open_from,
                             },
                         );
-                        self.idx[Table::OrderLine.id() as usize].insert(
-                            schema::order_line_key(w, d, o, ol),
-                            olrow,
-                            &mut tr,
-                        );
+                        let key = schema::order_line_key(w, d, o, ol);
+                        load(self, Table::OrderLine, key, olrow);
                     }
                 }
             }
@@ -462,6 +447,22 @@ mod tests {
         assert_eq!(page, rowid / Table::Customer.rows_per_page());
         assert_eq!(slot, rowid % Table::Customer.rows_per_page());
         assert!(!tr.is_empty(), "index pages must be traced");
+    }
+
+    #[test]
+    fn appended_indices_equal_insert_built_ones() {
+        let scale = TpccScale::scaled(3);
+        let reference = Database::build_with(scale.clone(), |idx, key, val| {
+            idx.insert(key, val, &mut Vec::new());
+        });
+        let db = Database::build(scale);
+        for t in &Table::ALL[..8] {
+            let (a, b) = (db.index(*t), reference.index(*t));
+            assert!(!a.is_empty(), "{t:?} index is loaded");
+            // Node for node: ids, and so index page homes, must match.
+            assert!(a == b, "{t:?} index differs from the insert-built one");
+        }
+        assert_eq!(db.total_pages(), reference.total_pages());
     }
 
     #[test]
