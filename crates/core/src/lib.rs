@@ -54,7 +54,6 @@ pub mod pathlen;
 pub mod protocol;
 pub mod sweep;
 pub mod topology;
-pub mod windowed;
 pub mod world;
 
 pub use components::fabric::FabricPort;
@@ -64,5 +63,4 @@ pub use config::{
 pub use metrics::Report;
 pub use protocol::{CacheFusion2pl, CoherenceProtocol, MvccReadLease};
 pub use topology::{BuiltTopology, Placement, Topology};
-pub use windowed::{run_one, run_windowed, WindowedStats};
 pub use world::World;

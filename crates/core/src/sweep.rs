@@ -10,7 +10,7 @@
 //! (figures binary, examples, benches, tests) goes through here so they
 //! all inherit the same ordering guarantee.
 
-use crate::{ClusterConfig, Report};
+use crate::{ClusterConfig, Report, World};
 
 pub use dclue_sim::par::{available_jobs, resolve_jobs, run_ordered};
 
@@ -32,11 +32,8 @@ pub fn expand_seeds(cfg: &ClusterConfig, seeds: u64) -> Vec<ClusterConfig> {
 }
 
 /// Run every config across `jobs` workers; reports in submission order.
-/// Each point dispatches through [`crate::windowed::run_one`], so a
-/// config with `intra_jobs >= 2` runs its single simulation on the
-/// windowed multi-threaded engine while still occupying one pool slot.
 pub fn run_many(jobs: usize, cfgs: Vec<ClusterConfig>) -> Vec<Report> {
-    run_ordered(jobs, cfgs, crate::windowed::run_one)
+    run_ordered(jobs, cfgs, |c| World::new(c).run())
 }
 
 /// Run each config across `seeds` seeds (all points share one pool) and

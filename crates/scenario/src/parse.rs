@@ -38,6 +38,12 @@ use dclue_sim::Duration;
 use dclue_storage::IscsiMode;
 use std::fmt;
 
+/// What replaces the retired `intra_jobs` knob. Shared by the `.dcs`
+/// rejection here and the `figures --intra-jobs` rejection.
+pub const INTRA_JOBS_ADVICE: &str = "the windowed intra-run engine was removed and every \
+     run is serial; spread a sweep's points across cores with [engine] jobs in a .dcs \
+     file or figures --jobs";
+
 /// A parse failure: 1-based line number plus an actionable message.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ParseError {
@@ -108,10 +114,16 @@ pub fn parse_duration(s: &str) -> Result<Duration, String> {
             "duration '{s}' needs a unit suffix (ns/us/ms/s), e.g. 40s"
         ));
     };
-    num.trim()
+    let v = num
+        .trim()
         .parse::<u64>()
-        .map(|v| Duration::from_nanos(v * mul))
-        .map_err(|_| format!("duration '{s}' needs an integer value before the unit"))
+        .map_err(|_| format!("duration '{s}' needs an integer value before the unit"))?;
+    v.checked_mul(mul).map(Duration::from_nanos).ok_or_else(|| {
+        format!(
+            "duration '{s}' is too large (at most {} s)",
+            u64::MAX / 1_000_000_000
+        )
+    })
 }
 
 /// Parse one scalar of type `ty`.
@@ -708,6 +720,13 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
             }
             Section::Fault => unreachable!("fault lines handled above"),
             _ => {}
+        }
+
+        if key == "intra_jobs" {
+            return err(
+                line_no,
+                format!("'intra_jobs' is no longer supported: {INTRA_JOBS_ADVICE}"),
+            );
         }
 
         // Ordinary config knob.

@@ -20,10 +20,10 @@
 //! finished point. Connection handling threads only ever read the
 //! state. Each response carries `Connection: close`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::Duration as StdDuration;
+use std::time::{Duration as StdDuration, Instant};
 
 use crate::ast::SweepSpec;
 use crate::json::Json;
@@ -275,23 +275,71 @@ impl Service {
     }
 }
 
-/// Answer one connection: read the request head, route, respond, close.
-fn handle(stream: TcpStream, state: &Mutex<State>) {
-    let _ = stream.set_read_timeout(Some(StdDuration::from_secs(5)));
-    let mut reader = BufReader::new(stream);
+/// Largest request head (request line plus headers) `handle` reads.
+/// The read timeout bounds each read, not the request, so without a
+/// byte cap a peer trickling bytes without a newline could grow the
+/// head without limit.
+const MAX_HEAD: u64 = 8 * 1024;
+
+/// What reading a request head produced.
+enum Head {
+    /// The request line; the headers were drained.
+    Line(String),
+    /// The head did not fit in [`MAX_HEAD`] bytes.
+    TooLarge,
+    /// The request line could not be read (timeout or non-UTF-8).
+    Closed,
+}
+
+/// Read the request line and drain the headers, reading at most
+/// [`MAX_HEAD`] bytes from `stream`.
+fn read_head(stream: &TcpStream) -> Head {
+    let mut reader = BufReader::new(stream.take(MAX_HEAD));
+    let mut read = |line: &mut String| match reader.read_line(line) {
+        Ok(_) if !line.ends_with('\n') && reader.get_ref().limit() == 0 => Err(Head::TooLarge),
+        Ok(_) => Ok(()),
+        Err(_) => Err(Head::Closed),
+    };
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
+    if let Err(h) = read(&mut request_line) {
+        return h;
     }
     // Drain the headers so the peer sees a clean close.
     let mut line = String::new();
-    while reader.read_line(&mut line).is_ok() && line.trim() != "" {
+    loop {
         line.clear();
+        match read(&mut line) {
+            Ok(()) if line.trim().is_empty() => break,
+            Ok(()) => {}
+            Err(Head::TooLarge) => return Head::TooLarge,
+            // A head cut short after the request line is still served.
+            Err(_) => break,
+        }
     }
-    let mut stream = reader.into_inner();
+    Head::Line(request_line)
+}
+
+/// Answer one connection: read the request head, route, respond, close.
+fn handle(mut stream: TcpStream, state: &Mutex<State>) {
+    let _ = stream.set_read_timeout(Some(StdDuration::from_secs(5)));
+    let request_line = match read_head(&stream) {
+        Head::Line(l) => l,
+        Head::TooLarge => {
+            let body = format!("{{\"error\":\"request head exceeds {MAX_HEAD} bytes\"}}");
+            return reject(stream, 431, "Request Header Fields Too Large", &body);
+        }
+        Head::Closed => return,
+    };
 
     let mut parts = request_line.split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
+        return reject(
+            stream,
+            400,
+            "Bad Request",
+            "{\"error\":\"malformed request line; expected 'GET <path> HTTP/1.1'\"}",
+        );
+    };
     if method != "GET" {
         respond(
             &mut stream,
@@ -318,6 +366,22 @@ fn handle(stream: TcpStream, state: &Mutex<State>) {
             "Not Found",
             "{\"error\":\"unknown path; try /status, /metrics or /scenarios\"}",
         ),
+    }
+}
+
+/// Respond with an error, then discard unread input for up to a second
+/// before closing. Closing with unread bytes queued makes the kernel
+/// send a reset, which can destroy the response in flight.
+fn reject(mut stream: TcpStream, code: u16, reason: &str, body: &str) {
+    respond(&mut stream, code, reason, body);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + StdDuration::from_secs(1);
+    let mut buf = [0u8; 4096];
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        let _ = stream.set_read_timeout(Some(left.max(StdDuration::from_millis(1))));
+        if !matches!(stream.read(&mut buf), Ok(n) if n > 0) {
+            break;
+        }
     }
 }
 

@@ -369,34 +369,21 @@ fn error_display_carries_the_line_number() {
 }
 
 #[test]
-fn rejects_intra_jobs_sweep_list() {
-    // The windowed group count shapes the engine, not the experiment
-    // grid — sweeping it would mix execution strategies in one table.
-    let (l, m) = err(&with_header("[engine]\nintra_jobs = [2, 4]\n"));
-    assert_eq!(l, 3);
-    assert!(m.contains("cannot be a sweep axis"), "{m}");
+fn rejects_removed_intra_jobs_key() {
+    // The windowed engine is gone; the key fails loudly in any section
+    // and points at the sweep pool instead of being silently ignored.
+    for section in ["engine", "topology"] {
+        let (l, m) = err(&with_header(&format!("[{section}]\nintra_jobs = 2\n")));
+        assert_eq!(l, 3);
+        assert!(m.contains("windowed"), "{m}");
+        assert!(m.contains("jobs"), "{m}");
+    }
 }
 
 #[test]
-fn rejects_intra_jobs_outside_engine_section() {
-    let (l, m) = err(&with_header("[topology]\nintra_jobs = 2\n"));
+fn rejects_duration_too_large() {
+    // 99999999999999 s overflows u64 nanoseconds.
+    let (l, m) = err(&with_header("[engine]\nwarmup = 99999999999999s\n"));
     assert_eq!(l, 3);
-    assert!(m.contains("belongs in [engine]"), "{m}");
-}
-
-#[test]
-fn rejects_non_integer_intra_jobs() {
-    let (l, m) = err(&with_header("[engine]\nintra_jobs = fast\n"));
-    assert_eq!(l, 3);
-    assert!(m.contains("not a non-negative integer"), "{m}");
-}
-
-#[test]
-fn compile_rejects_intra_jobs_above_nodes() {
-    // Parses fine; the config validator catches it at compile() with
-    // the scenario name attached.
-    let sc = parse("scenario = t\n[engine]\nintra_jobs = 8\n[topology]\nnodes = 4\n").unwrap();
-    let e = dclue_scenario::compile(&sc).unwrap_err();
-    assert!(e.contains("intra_jobs"), "{e}");
-    assert!(e.contains("scenario 't'"), "{e}");
+    assert!(m.contains("too large"), "{m}");
 }

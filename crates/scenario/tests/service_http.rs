@@ -177,3 +177,33 @@ fn endpoints_answer_valid_json_during_and_after_a_run() {
     assert!(status.contains("404"), "{status}");
     json::validate(&body).expect("404 body is JSON");
 }
+
+#[test]
+fn oversized_request_head_is_rejected_and_the_service_keeps_answering() {
+    let plan = compile(&parse(SRC).unwrap()).unwrap();
+    let svc = service::start(&plan, "127.0.0.1:0", Vec::new()).expect("bind");
+    let addr = svc.addr();
+
+    // 64 KiB with no newline, socket held open: the head cap, not the
+    // per-read timeout or the peer closing, must end the read.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(&vec![b'A'; 64 * 1024]).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let mut buf = [0u8; 512];
+    let n = stream
+        .read(&mut buf)
+        .expect("no response within 3 s to an oversized request head");
+    let head = String::from_utf8_lossy(&buf[..n]);
+    assert!(head.starts_with("HTTP/1.1 431"), "{head}");
+
+    // A malformed request line is a 400, not a 404.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(b"GARBAGE\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+
+    assert_json_200(addr, "/status");
+}
