@@ -4,7 +4,7 @@
 use dclue_bench::Bench;
 use dclue_db::btree::BTree;
 use dclue_db::{BufferCache, LockMode, LockTable, PageKey, Table};
-use dclue_sim::{Duration, EventHeap, SimTime};
+use dclue_sim::{Duration, EventHeap, SimRng, SimTime};
 
 fn bench_event_heap(c: &Bench) {
     c.bench_function("event_heap_push_pop_10k", || {
@@ -29,6 +29,31 @@ fn bench_event_heap(c: &Bench) {
             h.pop();
         }
         while h.pop().is_some() {}
+    });
+    // fig2's shape: ~4000 client think events parked seconds ahead while
+    // ~60 near events churn 1 µs to 2 ms out. The queue persists across
+    // batches, so the backlog stays in steady state: a far event that
+    // comes due is pushed seconds ahead again.
+    c.bench_function("event_heap/far_backlog", {
+        let mut rng = SimRng::new(0xFA2);
+        let mut h = EventHeap::with_capacity(4096);
+        for _ in 0..4000 {
+            h.push(SimTime(rng.uniform(1_000_000_000, 10_000_000_000)), true);
+        }
+        for _ in 0..60 {
+            h.push(SimTime(rng.uniform(0, 2_000_000)), false);
+        }
+        move || {
+            for _ in 0..10_000 {
+                let (_, far) = h.pop().unwrap();
+                let delay = if far {
+                    rng.uniform(1_000_000_000, 10_000_000_000)
+                } else {
+                    rng.uniform(1_000, 2_000_000)
+                };
+                h.push_after(Duration::from_nanos(delay), far);
+            }
+        }
     });
 }
 

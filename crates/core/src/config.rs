@@ -418,10 +418,8 @@ impl ClusterConfig {
     pub fn effective_edge_switches(&self) -> u32 {
         if self.edge_switches > 0 {
             self.edge_switches
-        } else if self.nodes_per_edge > 0 {
-            self.nodes / self.nodes_per_edge
         } else {
-            0
+            self.nodes.checked_div(self.nodes_per_edge).unwrap_or(0)
         }
     }
 

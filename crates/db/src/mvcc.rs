@@ -10,8 +10,28 @@
 //! Version payloads are not materialised (the logical "current" row lives
 //! in the table store); a version records its commit timestamp and size,
 //! which is everything timing and capacity behaviour depend on.
+//!
+//! ## Incremental pruning
+//!
+//! A prune at watermark `w` only changes a chain whose second version
+//! (or single version) is at or below `w`: every version older than the
+//! newest one at or below `w` is dropped, and a chain left with one
+//! version at or below `w` is dropped whole. After a prune, no chain it
+//! visited can change again until a watermark reaches one of its later
+//! versions. So the store keeps a min-heap of `(ts, row)`, one entry per
+//! write, and `prune(w)` pops the entries with `ts <= w` and applies the
+//! per-chain rule to those rows only. A chain the rule would trim or
+//! drop still has the entry of its second (or single) version in the
+//! heap, because a prune that had popped that entry would have trimmed
+//! the versions before it. So the result is the full scan's, for any
+//! sequence of watermarks and any write order that is monotone per row,
+//! while a prune with an unmoved watermark costs nothing. The cluster
+//! engine's write timestamps come from one logical clock, so its pushes
+//! arrive in order and each costs one comparison.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 
 #[derive(Debug)]
 struct Chain {
@@ -56,6 +76,9 @@ pub struct MvccStats {
 #[derive(Debug)]
 pub struct VersionStore {
     chains: HashMap<(u32, u64), Chain>,
+    /// Earliest-first `(ts, row)` per write not yet visited by a prune
+    /// at or above `ts` (see module docs).
+    unpruned: BinaryHeap<Reverse<(u64, (u32, u64))>>,
     capacity_bytes: u64,
     used_bytes: u64,
     pub stats: MvccStats,
@@ -65,6 +88,7 @@ impl VersionStore {
     pub fn new(capacity_bytes: u64) -> Self {
         VersionStore {
             chains: HashMap::new(),
+            unpruned: BinaryHeap::new(),
             capacity_bytes,
             used_bytes: 0,
             stats: MvccStats::default(),
@@ -104,6 +128,7 @@ impl VersionStore {
             "timestamps must be monotone per row"
         );
         chain.versions.push(ts);
+        self.unpruned.push(Reverse((ts, (table, row))));
         self.used_bytes += row_bytes;
         self.stats.versions_created += 1;
         self.pressure()
@@ -158,29 +183,37 @@ impl VersionStore {
     }
 
     /// Drop versions no active transaction can need: everything strictly
-    /// older than the newest version with `ts <= watermark`.
+    /// older than the newest version with `ts <= watermark`. Visits only
+    /// the rows written at or below the watermark since a prune last
+    /// reached them (see module docs).
     pub fn prune(&mut self, watermark: u64) {
         let mut freed = 0u64;
-        self.chains.retain(|_, chain| {
-            let keep_from = chain
-                .versions
-                .partition_point(|&t| t <= watermark)
-                .saturating_sub(1);
-            if keep_from > 0 {
-                freed += keep_from as u64 * chain.row_bytes;
-                chain.versions.drain(..keep_from);
-                chain.min_v += keep_from as u64;
-                self.stats.pruned += keep_from as u64;
+        while let Some(&Reverse((ts, key))) = self.unpruned.peek() {
+            if ts > watermark {
+                break;
             }
-            // Single fully-superseded version chains can be dropped
-            // entirely once only one old version remains and it is below
-            // the watermark — the base row suffices.
-            !(chain.versions.len() == 1 && chain.versions[0] <= watermark && {
-                freed += chain.row_bytes;
-                self.stats.pruned += 1;
-                true
-            })
-        });
+            self.unpruned.pop();
+            if let Entry::Occupied(mut chain) = self.chains.entry(key) {
+                if prune_chain(
+                    chain.get_mut(),
+                    watermark,
+                    &mut freed,
+                    &mut self.stats.pruned,
+                ) {
+                    chain.remove();
+                }
+            }
+        }
+        self.used_bytes = self.used_bytes.saturating_sub(freed);
+    }
+
+    /// The full-scan prune: the per-chain rule applied to every chain.
+    #[cfg(test)]
+    fn prune_full_scan(&mut self, watermark: u64) {
+        let mut freed = 0u64;
+        let pruned = &mut self.stats.pruned;
+        self.chains
+            .retain(|_, chain| !prune_chain(chain, watermark, &mut freed, pruned));
         self.used_bytes = self.used_bytes.saturating_sub(freed);
     }
 
@@ -188,6 +221,30 @@ impl VersionStore {
     pub fn chains(&self) -> usize {
         self.chains.len()
     }
+}
+
+/// The per-chain prune rule at `watermark`: drop every version older than
+/// the newest one with `ts <= watermark`, adding the freed bytes and
+/// versions to the counters. Returns true if the chain should be dropped
+/// whole: one version remains and it is at or below the watermark, so
+/// the base row suffices.
+fn prune_chain(chain: &mut Chain, watermark: u64, freed: &mut u64, pruned: &mut u64) -> bool {
+    let keep_from = chain
+        .versions
+        .partition_point(|&t| t <= watermark)
+        .saturating_sub(1);
+    if keep_from > 0 {
+        *freed += keep_from as u64 * chain.row_bytes;
+        chain.versions.drain(..keep_from);
+        chain.min_v += keep_from as u64;
+        *pruned += keep_from as u64;
+    }
+    let drop = chain.versions.len() == 1 && chain.versions[0] <= watermark;
+    if drop {
+        *freed += chain.row_bytes;
+        *pruned += 1;
+    }
+    drop
 }
 
 #[cfg(test)]
@@ -271,6 +328,102 @@ mod tests {
         v.prune(10);
         assert_eq!(v.chains(), 0);
         assert_eq!(v.used_bytes(), 0);
+    }
+
+    #[test]
+    fn prune_with_unmoved_watermark_visits_nothing() {
+        let mut v = VersionStore::new(1 << 20);
+        v.write(0, 1, 100, 5);
+        v.write(0, 1, 100, 20);
+        // A snapshot at 10 still needs the ts=5 version: nothing to free,
+        // but the ts=5 entry has been visited.
+        v.prune(10);
+        assert_eq!(v.unpruned.len(), 1);
+        v.prune(10);
+        v.prune(3);
+        assert_eq!((v.unpruned.len(), v.stats.pruned), (1, 0));
+        v.prune(20);
+        assert_eq!((v.unpruned.len(), v.chains(), v.used_bytes()), (0, 0, 0));
+        assert_eq!(v.stats.pruned, 2);
+    }
+
+    /// Every chain's row, version timestamps and first version number.
+    fn snapshot(v: &VersionStore) -> Vec<((u32, u64), Vec<u64>, u64)> {
+        let mut out: Vec<_> = v
+            .chains
+            .iter()
+            .map(|(&k, c)| (k, c.versions.clone(), c.min_v))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn incremental_prune_matches_full_scan_on_random_traces() {
+        // The incremental prune against the full-scan reference, on
+        // random write/read/prune traces over a small row space, with
+        // monotone and non-monotone watermarks, and with write timestamps
+        // in clock order or only monotone per row. Every observable must
+        // agree after every step.
+        let modes = [(true, true), (false, true), (true, false), (false, false)];
+        for (seed, &(monotone, ordered)) in modes.iter().enumerate() {
+            let mut rng = dclue_sim::SimRng::new(0x3CC0 + seed as u64);
+            let mut a = VersionStore::new(1 << 20);
+            let mut b = VersionStore::new(1 << 20);
+            let mut ts = 0u64;
+            let mut w = 0u64;
+            for step in 0..20_000 {
+                match rng.uniform(0, 9) {
+                    0..=4 => {
+                        // Several rows may share one commit timestamp.
+                        if rng.chance(0.7) {
+                            ts += 1;
+                        }
+                        let (t, r) = (rng.uniform(0, 2) as u32, rng.uniform(0, 40));
+                        let bytes = 50 + u64::from(t) * 25;
+                        // Out of clock order: anywhere from the row's
+                        // last version up to the clock.
+                        let last = a
+                            .chains
+                            .get(&(t, r))
+                            .map_or(0, |c| *c.versions.last().unwrap());
+                        let at = if ordered {
+                            ts
+                        } else {
+                            rng.uniform(last, last.max(ts))
+                        };
+                        assert_eq!(a.write(t, r, bytes, at), b.write(t, r, bytes, at));
+                    }
+                    5 | 6 => {
+                        let (t, r) = (rng.uniform(0, 2) as u32, rng.uniform(0, 40));
+                        let at = rng.uniform(0, ts + 2);
+                        assert_eq!(a.read(t, r, at), b.read(t, r, at), "step {step}");
+                    }
+                    _ => {
+                        w = if monotone {
+                            (w + rng.uniform(0, 6)).min(ts)
+                        } else {
+                            rng.uniform(0, ts + 1)
+                        };
+                        a.prune(w);
+                        b.prune_full_scan(w);
+                        assert_eq!(snapshot(&a), snapshot(&b), "step {step}");
+                    }
+                }
+                assert_eq!(a.used_bytes(), b.used_bytes(), "step {step}");
+                assert_eq!(a.chains(), b.chains(), "step {step}");
+                assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
+            }
+            for t in 0..=2 {
+                for r in 0..=40 {
+                    assert_eq!(a.current_version(t, r), b.current_version(t, r));
+                    for at in [0, ts / 2, ts] {
+                        assert_eq!(a.read(t, r, at), b.read(t, r, at));
+                    }
+                }
+            }
+            assert!(b.stats.pruned > 1000, "mode {seed}: prune barely ran");
+        }
     }
 
     #[test]

@@ -45,6 +45,29 @@
 //! events is bit-identical to the heap-everything engine; only the dead
 //! pops disappear. The wheel costs nothing when unused: every fast path
 //! is gated on `timers_live == 0`.
+//!
+//! ## Near and far heaps
+//!
+//! Most of the pending set is idle: closed-loop client think times and
+//! other events scheduled seconds ahead, while almost every push lands
+//! within a few milliseconds of now. A single heap makes every
+//! near-term push and pop sift through that idle backlog. So a push at
+//! least `FAR` ahead of the current time goes to a second *far* heap
+//! instead; both heaps index the same payload slab. `pop` takes the
+//! earliest of the near head, the far head and the same-time bucket by
+//! `(time, seq)`, so the pop stream is exactly that of one heap holding
+//! both. Far events are never migrated: a far entry simply wins the
+//! three-way comparison when its time comes. Timers cascading out of
+//! the wheel always go to the near heap.
+//!
+//! The far head counts everywhere the single heap's head counted. In
+//! particular the wheel's flush horizon (`flush_due_timers`) is the
+//! earliest queued event *including* the far head: a timer cascades out
+//! of the wheel, and so stops being cancellable, exactly when it would
+//! have with one heap. Leaving the far head out of the horizon would
+//! flush fewer slots before a far pop, leave a timer cancellable that
+//! used to fire dead, and change the event stream. `peek_time`, `len`
+//! and `is_empty` include the far heap for the same reason.
 
 use crate::hash::FxHashMap;
 use crate::time::{Duration, SimTime};
@@ -57,6 +80,13 @@ const L0_SHIFT: u32 = 20;
 const WHEEL_BITS: u32 = 8;
 const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
 const WHEEL_MASK: u64 = (WHEEL_SLOTS - 1) as u64;
+
+/// A push at least this far ahead of the current time (2^23 ns ≈ 8.4 ms,
+/// eight L0 wheel slots) goes to the far heap (see module docs). Nearly
+/// all of a cluster run's pushes land closer than this, while client
+/// think times land seconds ahead: on the fig2 sweep at n=24 the near
+/// heap averages ~70 entries and the far heap ~4000.
+const FAR: u64 = 1 << 23;
 
 /// A parked timer: the payload plus the ordering identity it will carry
 /// into the heap if it survives to its deadline.
@@ -113,8 +143,12 @@ impl Ord for Entry {
 /// assert_eq!(q.pop(), Some((SimTime(20), "later")));
 /// ```
 pub struct EventHeap<E> {
+    /// Near heap: entries scheduled less than `FAR` ahead at push time,
+    /// plus every timer cascaded out of the wheel.
     heap: BinaryHeap<Entry>,
-    /// Payload slab for heap entries, indexed by `Entry::slot`; `None`
+    /// Far heap: plain pushes at least `FAR` ahead at push time.
+    far: BinaryHeap<Entry>,
+    /// Payload slab for both heaps' entries, indexed by `Entry::slot`; `None`
     /// slots are free and their indices are in `free`.
     slots: Vec<Option<E>>,
     free: Vec<u32>,
@@ -168,6 +202,7 @@ impl<E> EventHeap<E> {
     pub fn with_capacity(events: usize) -> Self {
         EventHeap {
             heap: BinaryHeap::with_capacity(events),
+            far: BinaryHeap::new(),
             slots: Vec::with_capacity(events),
             free: Vec::new(),
             immediate: VecDeque::with_capacity(16),
@@ -194,24 +229,36 @@ impl<E> EventHeap<E> {
         // Fast path: an event for "now" joins the FIFO bucket iff the
         // bucket stays time-homogeneous (it is empty or already holds
         // `at`). Out-of-order pushes into the past fall through to the
-        // heap, which handles any timestamp.
+        // near heap, which handles any timestamp.
         self.insert_raw(at, seq, payload);
     }
 
     /// Insert an event that already owns its sequence number, choosing
-    /// the same-time bucket or the heap exactly as `push` would.
+    /// the same-time bucket, the near heap or the far heap exactly as
+    /// `push` would.
     fn insert_raw(&mut self, at: SimTime, seq: u64, payload: E) {
         if at == self.cur && self.immediate.front().is_none_or(|f| f.0 == at) {
             self.immediate.push_back((at, seq, payload));
         } else {
-            self.heap_insert(at, seq, payload);
+            let e = self.slab_entry(at, seq, payload);
+            if at.0.saturating_sub(self.cur.0) >= FAR {
+                self.far.push(e);
+            } else {
+                self.heap.push(e);
+            }
         }
     }
 
-    /// Insert straight into the heap, preserving the given `(at, seq)`
-    /// identity. Used by `push` and by timer cascade, where the seq was
+    /// Insert straight into the near heap, preserving the given
+    /// `(at, seq)` identity. Used by timer cascade, where the seq was
     /// assigned at arming time.
     fn heap_insert(&mut self, at: SimTime, seq: u64, payload: E) {
+        let e = self.slab_entry(at, seq, payload);
+        self.heap.push(e);
+    }
+
+    /// Park `payload` in the slab and return its heap entry.
+    fn slab_entry(&mut self, at: SimTime, seq: u64, payload: E) -> Entry {
         let slot = match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(payload);
@@ -222,11 +269,11 @@ impl<E> EventHeap<E> {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.heap.push(Entry {
+        Entry {
             time: at,
             seq,
             slot,
-        });
+        }
     }
 
     /// Schedule `payload` at the current time plus `delay` — the time of
@@ -244,7 +291,14 @@ impl<E> EventHeap<E> {
         if self.timers_live > 0 {
             self.flush_due_timers();
         }
-        let take_heap = match (self.heap.peek(), self.immediate.front()) {
+        // `Entry` orders earliest-first as "greatest", so the far head
+        // wins when it compares greater than the near head.
+        let heap = match (self.heap.peek(), self.far.peek()) {
+            (Some(n), Some(f)) if f > n => &mut self.far,
+            (None, Some(_)) => &mut self.far,
+            _ => &mut self.heap,
+        };
+        let take_heap = match (heap.peek(), self.immediate.front()) {
             (None, None) => return None,
             (Some(_), None) => true,
             (None, Some(_)) => false,
@@ -254,7 +308,7 @@ impl<E> EventHeap<E> {
         };
         self.popped += 1;
         if take_heap {
-            let e = self.heap.pop().unwrap();
+            let e = heap.pop().unwrap();
             let payload = self.slots[e.slot as usize].take().unwrap();
             self.free.push(e.slot);
             self.cur = e.time;
@@ -354,13 +408,7 @@ impl<E> EventHeap<E> {
     /// until the earliest surviving timer has). Called before each pop.
     fn flush_due_timers(&mut self) {
         loop {
-            let next_queued = match (self.heap.peek(), self.immediate.front()) {
-                (None, None) => None,
-                (Some(h), None) => Some(h.time),
-                (None, Some(&(t, _, _))) => Some(t),
-                (Some(h), Some(&(t, _, _))) => Some(h.time.min(t)),
-            };
-            match next_queued {
+            match self.next_queued() {
                 Some(t) => {
                     // A timer in a slot beyond `t`'s cannot precede `t`.
                     let limit = t.0 >> L0_SHIFT;
@@ -443,14 +491,23 @@ impl<E> EventHeap<E> {
         self.wheel_pos = pos + 1;
     }
 
+    /// Time of the earliest queued event: the near head, the far head or
+    /// the same-time bucket, whichever is earliest. Parked timers are not
+    /// queued.
+    fn next_queued(&self) -> Option<SimTime> {
+        let heaped = match (self.heap.peek(), self.far.peek()) {
+            (Some(n), Some(f)) => Some(n.time.min(f.time)),
+            (n, f) => n.or(f).map(|e| e.time),
+        };
+        match (heaped, self.immediate.front()) {
+            (Some(h), Some(&(t, _, _))) => Some(h.min(t)),
+            (h, i) => h.or(i.map(|&(t, _, _)| t)),
+        }
+    }
+
     /// Time of the earliest pending event, timers included.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let queued = match (self.heap.peek(), self.immediate.front()) {
-            (None, None) => None,
-            (Some(h), None) => Some(h.time),
-            (None, Some(&(t, _, _))) => Some(t),
-            (Some(h), Some(&(t, _, _))) => Some(h.time.min(t)),
-        };
+        let queued = self.next_queued();
         if self.timers_live == 0 {
             return queued;
         }
@@ -471,11 +528,14 @@ impl<E> EventHeap<E> {
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len() + self.immediate.len() + self.timers_live
+        self.heap.len() + self.far.len() + self.immediate.len() + self.timers_live
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.immediate.is_empty() && self.timers_live == 0
+        self.heap.is_empty()
+            && self.far.is_empty()
+            && self.immediate.is_empty()
+            && self.timers_live == 0
     }
 
     /// Total number of events pushed over the queue's lifetime.
@@ -869,6 +929,142 @@ mod tests {
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
         assert_eq!(q.total_pushed(), m.seq);
+    }
+
+    // ---- near/far heap tests ----
+
+    #[test]
+    fn far_push_keeps_the_cascade_horizon() {
+        // Timers A and B are parked in the wheel and a plain far event F
+        // sits behind both. Popping A must flush the wheel up to F's
+        // slot, exactly as when F sat in the single heap, so B cascades
+        // into the heap with A and a later cancel of B is too late.
+        let mut q = EventHeap::new();
+        q.push(SimTime(FAR + 3 * G), "F");
+        assert_eq!(q.far.len(), 1, "F must take the far heap");
+        q.arm_timer(1, SimTime(2 * G + 1), "A");
+        q.arm_timer(2, SimTime(5 * G + 1), "B");
+        assert_eq!(q.peek_time(), Some(SimTime(2 * G + 1)));
+        assert_eq!(q.pop(), Some((SimTime(2 * G + 1), "A")));
+        q.cancel_timer(2);
+        assert_eq!(q.pop(), Some((SimTime(5 * G + 1), "B")));
+        assert_eq!(q.pop(), Some((SimTime(FAR + 3 * G), "F")));
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn far_and_near_heads_interleave_by_time_then_seq() {
+        let mut q = EventHeap::new();
+        let t = SimTime(FAR);
+        q.push(t, "far0"); // seq 0, exactly FAR ahead: far heap
+        q.push(SimTime(FAR - 1), "near"); // seq 1: near heap
+        assert_eq!((q.heap.len(), q.far.len()), (1, 1));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime(FAR - 1)));
+        assert_eq!(q.pop(), Some((SimTime(FAR - 1), "near")));
+        // Now only 1 ns ahead: this same-time rival goes to the near heap
+        // with a later seq, so the far entry still pops first.
+        q.push(t, "near1");
+        assert_eq!(q.pop(), Some((t, "far0")));
+        assert_eq!(q.pop(), Some((t, "near1")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn property_near_far_mix_matches_model() {
+        // Near, far, exactly-FAR, just-under-FAR, past and same-time
+        // pushes mixed with keyed arms, cancels and pops, against the
+        // brute-force model. A cancel only targets a timer whose slot is
+        // beyond a conservative bound on every flush horizon so far, so
+        // it is provably still wheel-resident and the model may drop it.
+        // The bound at a pop is the slot of the earliest plain push still
+        // pending (the queue's head can only be earlier), or, with none
+        // pending, the slot of the latest pending timer.
+        let mut rng = crate::SimRng::new(0xFA12);
+        let mut q = EventHeap::new();
+        let mut m = Model {
+            v: Vec::new(),
+            seq: 0,
+        };
+        let mut plain: std::collections::BTreeSet<(SimTime, u64)> = Default::default();
+        let mut keys: std::collections::HashMap<u64, (SimTime, u64)> = Default::default();
+        let mut gen = [0u64; 32];
+        let mut cur = SimTime::ZERO;
+        let mut horizon = 0u64;
+        let mut far_pops = 0u32;
+        for _ in 0..30_000 {
+            let r = rng.uniform(0, 100);
+            if r < 40 || q.is_empty() {
+                let t = match rng.uniform(0, 8) {
+                    0 => cur,
+                    1 => SimTime(cur.0.saturating_sub(rng.uniform(1, 3 * G))),
+                    2 => SimTime(cur.0 + FAR),
+                    3 => SimTime(cur.0 + FAR - 1),
+                    4 | 5 => SimTime(cur.0 + FAR + rng.uniform(0, 4000 * G)),
+                    _ => SimTime(cur.0 + rng.uniform(0, 3 * G)),
+                };
+                let id = m.push(t);
+                plain.insert((t, id));
+                q.push(t, id);
+            } else if r < 60 {
+                // A re-arm cancels the old timer unconditionally, so a
+                // key is only re-armed while its timer is provably
+                // wheel-resident; otherwise the key is retired for good.
+                let k = rng.uniform(0, 31) as usize;
+                let mut key = gen[k] * 32 + k as u64;
+                if let Some((dl, old)) = keys.remove(&key) {
+                    if dl.0 / G > horizon {
+                        m.remove(old);
+                    } else {
+                        gen[k] += 1;
+                        key = gen[k] * 32 + k as u64;
+                    }
+                }
+                let delta = match rng.uniform(0, 10) {
+                    0..=5 => rng.uniform(1, 20 * G),
+                    6..=8 => rng.uniform(300 * G, 4000 * G),
+                    _ => rng.uniform(70_000 * G, 80_000 * G),
+                };
+                let t = SimTime(cur.0 + delta);
+                let id = m.push(t);
+                q.arm_timer(key, t, id);
+                keys.insert(key, (t, id));
+            } else if r < 70 {
+                let k = rng.uniform(0, 31) as usize;
+                let key = gen[k] * 32 + k as u64;
+                if let Some(&(dl, old)) = keys.get(&key) {
+                    if dl.0 / G > horizon {
+                        keys.remove(&key);
+                        q.cancel_timer(key);
+                        m.remove(old);
+                    }
+                }
+            } else {
+                let bound = match plain.first() {
+                    Some(&(t, _)) => t.0 / G,
+                    None => m.v.iter().map(|&(t, _)| t.0 / G).max().unwrap_or(0),
+                };
+                horizon = horizon.max(bound);
+                assert_eq!(q.peek_time(), m.v.iter().map(|&(t, _)| t).min());
+                let far_head = q.far.peek().map(|e| (e.time, e.seq));
+                let got = q.pop();
+                assert_eq!(got, m.pop());
+                if let Some((t, id)) = got {
+                    plain.remove(&(t, id));
+                    far_pops += u32::from(far_head == Some((t, id)));
+                    cur = t;
+                }
+            }
+            assert_eq!(q.len(), m.v.len());
+        }
+        while let Some(want) = m.pop() {
+            assert_eq!(q.pop(), Some(want));
+        }
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+        assert_eq!(q.total_pushed(), m.seq);
+        assert!(far_pops > 100, "the far heap served only {far_pops} pops");
     }
 
     // ---- slot-boundary cascade tests ----
